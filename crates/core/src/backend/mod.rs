@@ -7,9 +7,9 @@
 //! [`DensityBackend`] contract every estimator implements plus the
 //! three shipped backends:
 //!
-//! * [`TreeBackend`] — Algorithm 2's best-first traversal with
-//!   certified bounds (the default; bit-identical to the pre-trait
-//!   classifier).
+//! * [`TreeBackend`] — Algorithm 2's traversal (a descent to the
+//!   query's leaf, then best-first refinement) with certified bounds
+//!   (the default; bit-identical to the pre-trait classifier).
 //! * [`HbeBackend`] — Charikar–Siminelakis hashing-based estimator:
 //!   E2LSH importance sampling with probabilistic `(ε, δ)` bounds.
 //! * [`RffBackend`] — fixed-budget random-Fourier-feature estimator for

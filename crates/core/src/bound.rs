@@ -2,7 +2,8 @@
 //!
 //! Maintains running lower/upper bounds `(f_l, f_u)` on the kernel density
 //! of a query point by iteratively replacing k-d tree nodes with their
-//! children, always refining the node with the greatest potential bound
+//! children. It first descends from the root to the leaf nearest the
+//! query, then always refines the node with the greatest potential bound
 //! improvement `n_r (K(d_min) − K(d_max))`. The traversal stops as soon as
 //! either threshold rule (Eq. 9) or the tolerance rule (Eq. 8) fires, or
 //! the tree is exhausted (in which case the bounds coincide with the exact
@@ -141,10 +142,18 @@ impl<'a> DensityBounder<'a> {
         })
     }
 
-    /// The shared best-first refinement loop behind both public bounding
-    /// modes. `stop` inspects the running bounds before each refinement
-    /// and returns the prune cause that should end the traversal, if any;
+    /// The shared refinement loop behind both public bounding modes.
+    /// `stop` inspects the running bounds before each refinement and
+    /// returns the prune cause that should end the traversal, if any;
     /// exhaustion of the tree always terminates regardless.
+    ///
+    /// Refinement starts with a root-to-leaf descent: each expanded node
+    /// on the path bounds both children, queues the farther one and
+    /// continues into the child whose box is nearest `x`. Once that leaf
+    /// is summed, the loop refines best-first by the paper's priority
+    /// `n_r (K(d_min) − K(d_max))`. At d ≥ 8 that count-weighted priority
+    /// alone expands large, coarse nodes long before the small leaf
+    /// holding the query, whose exact sum usually settles the answer.
     ///
     /// Leaves are evaluated through the SoA kernel fast path
     /// ([`Kernel::sum_block_soa`]) over the node's cached
@@ -168,7 +177,9 @@ impl<'a> DensityBounder<'a> {
 
         scratch.heap.clear();
 
-        // Seed with the root's coarse bounds.
+        // Seed with the root's coarse bounds. The root starts the descent:
+        // `descend` holds the next node on the path to the query's own
+        // leaf and is expanded ahead of the heap until that leaf is summed.
         let root = self.tree.root();
         let (u_min, u_max) = self.tree.scaled_sq_dist_bounds(root, x, inv_h);
         scratch.stats.bound_evals += 2;
@@ -177,20 +188,19 @@ impl<'a> DensityBounder<'a> {
         let w_lo = count / n * self.kernel.eval_scaled_sq(u_max);
         let mut f_lo = w_lo;
         let mut f_hi = w_hi;
-        if w_hi > 0.0 {
-            scratch.heap.push(HeapEntry {
-                priority: w_hi - w_lo,
-                node: root,
-                w_lo,
-                w_hi,
-            });
-        }
+        let mut descend = (w_hi > 0.0).then_some(HeapEntry {
+            priority: w_hi - w_lo,
+            node: root,
+            w_lo,
+            w_hi,
+        });
 
         let cause = loop {
             if let Some(cause) = stop(f_lo, f_hi) {
                 break cause;
             }
-            let Some(entry) = scratch.heap.pop() else {
+            let descending = descend.is_some();
+            let Some(entry) = descend.take().or_else(|| scratch.heap.pop()) else {
                 break PruneCause::Exhausted;
             };
             scratch.stats.nodes_expanded += 1;
@@ -221,7 +231,7 @@ impl<'a> DensityBounder<'a> {
                     f_hi += exact;
                 }
                 Some((left, right)) => {
-                    for child in [left, right] {
+                    let mut kids = [left, right].map(|child| {
                         let (u_min, u_max) = self.tree.scaled_sq_dist_bounds(child, x, inv_h);
                         scratch.stats.bound_evals += 2;
                         let c = self.tree.node_mass(child);
@@ -229,17 +239,34 @@ impl<'a> DensityBounder<'a> {
                         let w_lo = c / n * self.kernel.eval_scaled_sq(u_max);
                         f_lo += w_lo;
                         f_hi += w_hi;
+                        let entry = HeapEntry {
+                            priority: w_hi - w_lo,
+                            node: child,
+                            w_lo,
+                            w_hi,
+                        };
+                        (u_min, entry)
+                    });
+                    // While descending, the child nearest `x` (smallest
+                    // scaled box distance, i.e. largest kernel value per
+                    // unit mass) continues the descent; its sibling waits
+                    // on the heap.
+                    if descending {
+                        if kids[1].0 < kids[0].0 {
+                            kids.swap(0, 1);
+                        }
+                        descend = Some(kids[0].1).filter(|e| e.w_hi > 0.0);
+                    }
+                    // Every child that does not continue the descent is
+                    // queued.
+                    let first_queued = usize::from(descend.is_some());
+                    for &(_, entry) in &kids[first_queued..] {
                         // A zero upper bound means the subtree contributes
                         // nothing resolvable — skip the push entirely
                         // (exact for compact-support kernels; for the
                         // Gaussian it only skips fully-underflowed boxes).
-                        if w_hi > 0.0 {
-                            scratch.heap.push(HeapEntry {
-                                priority: w_hi - w_lo,
-                                node: child,
-                                w_lo,
-                                w_hi,
-                            });
+                        if entry.w_hi > 0.0 {
+                            scratch.heap.push(entry);
                         }
                     }
                 }
@@ -537,6 +564,36 @@ mod tests {
             s_loose.stats,
             s_tight.stats
         );
+    }
+
+    #[test]
+    fn descent_reaches_the_query_leaf_first() {
+        let (data, tree, kernel) = setup(4000, 8, 53);
+        let bounder = DensityBounder::new(&tree, &kernel, Optimizations::all(), 0.01);
+        let inv_h = kernel.inv_bandwidths();
+        for row in [0, 1234, 3999] {
+            let x = data.row(row);
+            // The training point lies in exactly one child box per level:
+            // walk that path to its leaf.
+            let (mut leaf, mut depth) = (tree.root(), 0);
+            while let Some((l, r)) = tree.children(leaf) {
+                leaf = if tree.scaled_sq_dist_bounds(l, x, inv_h).0 == 0.0 {
+                    l
+                } else {
+                    r
+                };
+                depth += 1;
+            }
+            assert_eq!(tree.scaled_sq_dist_bounds(leaf, x, inv_h).0, 0.0);
+            // The point's own kernel mass K(0)/n alone clears this
+            // threshold, while the coarse lower bounds on the path do not.
+            let t = 0.1 * kernel.max_value() / data.rows() as f64;
+            let mut scratch = QueryScratch::new();
+            let b = bounder.bound_density(x, t, t, &mut scratch);
+            assert_eq!(b.cause, PruneCause::ThresholdHigh, "row {row}");
+            assert_eq!(scratch.stats.kernel_evals, tree.count(leaf) as u64);
+            assert_eq!(scratch.stats.nodes_expanded, depth + 1);
+        }
     }
 
     #[test]

@@ -79,6 +79,17 @@ impl<W: Write> Enc<W> {
     }
 }
 
+/// Most elements any length field may reserve up front.
+const MAX_PREALLOC: usize = 4096;
+
+/// An empty vector for `n` elements announced by a length field. The
+/// reservation is capped so that a corrupt or crafted length cannot
+/// request terabytes before a single element is read: past the cap the
+/// vector grows only with the bytes actually read.
+fn prealloc<T>(n: usize) -> Vec<T> {
+    Vec::with_capacity(n.min(MAX_PREALLOC))
+}
+
 /// Reader with little-endian primitive helpers.
 struct Dec<R: Read>(R);
 
@@ -105,7 +116,7 @@ impl<R: Read> Dec<R> {
     }
     fn f64s(&mut self) -> Result<Vec<f64>> {
         let n = self.len_checked()?;
-        let mut out = Vec::with_capacity(n);
+        let mut out = prealloc(n);
         for _ in 0..n {
             out.push(self.f64()?);
         }
@@ -367,7 +378,7 @@ pub fn load_model_from(reader: impl Read) -> Result<Classifier> {
     let tree_leaf = r.u64()? as usize; // CAST: u64 -> usize is lossless on 64-bit targets
     let points = r.f64s()?;
     let n_nodes = r.len_checked()?;
-    let mut nodes = Vec::with_capacity(n_nodes);
+    let mut nodes = prealloc(n_nodes);
     for _ in 0..n_nodes {
         nodes.push([r.u32()?, r.u32()?, r.u32()?, r.u32()?]);
     }
@@ -380,7 +391,7 @@ pub fn load_model_from(reader: impl Read) -> Result<Classifier> {
             let cell = r.f64s()?;
             let n_points = r.u64()? as usize; // CAST: u64 -> usize is lossless on 64-bit targets
             let n_entries = r.len_checked()?;
-            let mut entries = Vec::with_capacity(n_entries);
+            let mut entries = prealloc(n_entries);
             for _ in 0..n_entries {
                 let k = r.u128()?;
                 let c = r.u32()?;
@@ -458,7 +469,7 @@ fn load_hbe_payload(
     if total > (1 << 40) {
         return Err(format_error("implausible point matrix shape"));
     }
-    let mut data = Vec::with_capacity(total);
+    let mut data = prealloc(total);
     for _ in 0..total {
         data.push(r.f64()?);
     }

@@ -35,7 +35,8 @@
 //!
 //! * **Connection cap** — at `max_conns` concurrent connections, new
 //!   arrivals receive one `OverCapacity` error frame and are closed;
-//!   nothing queues unboundedly.
+//!   nothing queues unboundedly. A handler frees its slot from a drop
+//!   guard, so even a panicking handler gives its slot back.
 //! * **Timeouts** — every connection carries read *and* write timeouts;
 //!   an idle or stalled peer gets a `Timeout` error frame and is
 //!   dropped instead of pinning a handler forever.
@@ -57,7 +58,7 @@ use tkdc_sync::{Arc, Mutex};
 use tkdc::{Classifier, ExecPolicy, QueryStats, QueryTrace, Spans, TraceWriter};
 use tkdc_common::error::{protocol_error, Error, Result};
 use tkdc_obs::span::SpanRecord;
-use tkdc_obs::{chrome_trace_json, complete_spans, span_v2_lines, Exposition};
+use tkdc_obs::{chrome_trace_json, complete_spans, span_v2_lines, Exposition, Gauge};
 
 use crate::http::{MetricsHandle, MetricsServer};
 use crate::metrics::Metrics;
@@ -280,8 +281,8 @@ impl Server {
             shared.metrics.active_connections.add(1);
             let sh = Arc::clone(&shared);
             handlers.push(thread::spawn(move || {
+                let _slot = ConnectionSlot(&sh.metrics.active_connections);
                 handle_connection(stream, &sh);
-                sh.metrics.active_connections.sub(1);
             }));
         }
         for h in handlers {
@@ -300,6 +301,17 @@ impl Server {
         let addr = self.shared.addr;
         let handle = thread::spawn(move || self.run());
         ServerHandle { addr, handle }
+    }
+}
+
+/// One taken connection slot. Dropping it frees the slot, so a handler
+/// that panics still gives its slot back instead of shrinking the
+/// connection cap for the rest of the daemon's life.
+struct ConnectionSlot<'a>(&'a Gauge);
+
+impl Drop for ConnectionSlot<'_> {
+    fn drop(&mut self) {
+        self.0.sub(1);
     }
 }
 
@@ -730,4 +742,21 @@ fn initiate_shutdown(shared: &Shared) {
     // tests/model_check.rs.
     shared.shutdown.store(true, Ordering::Release);
     let _ = TcpStream::connect_timeout(&shared.addr, Duration::from_secs(1));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn panicking_handler_frees_its_connection_slot() {
+        let active = Gauge::new();
+        active.add(1);
+        let outcome = std::panic::catch_unwind(|| {
+            let _slot = ConnectionSlot(&active);
+            panic!("handler failed");
+        });
+        assert!(outcome.is_err());
+        assert_eq!(active.get(), 0);
+    }
 }

@@ -57,6 +57,25 @@ fn future_format_version_is_a_parse_error() {
     );
 }
 
+/// A length field patched to 2^40 − 1 (just under the decoder's
+/// plausibility cap) must fail the load with an error once the bytes run
+/// out, not abort the process by reserving 8 TiB up front.
+#[test]
+fn huge_points_length_is_an_error_not_an_abort() {
+    let mut bytes = reference_model_bytes();
+    // The tree payload begins `dim: u64, leaf_size: u64, points: [f64]`,
+    // and the points length is rows × dim = 300 × 2.
+    let dim = 2u64.to_le_bytes();
+    let len = 600u64.to_le_bytes();
+    let at: Vec<usize> = (0..bytes.len() - 24)
+        .filter(|&i| bytes[i..i + 8] == dim && bytes[i + 16..i + 24] == len)
+        .collect();
+    assert_eq!(at.len(), 1, "points length field not found uniquely");
+    let field = at[0] + 16;
+    bytes[field..field + 8].copy_from_slice(&((1u64 << 40) - 1).to_le_bytes());
+    assert!(load_model_from(bytes.as_slice()).is_err());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

@@ -3,7 +3,9 @@
 //! * kernel monotonicity and positivity for arbitrary bandwidths,
 //! * k-d tree partition correctness for arbitrary point clouds,
 //! * density bounds sandwiching the exact density for arbitrary queries,
+//!   and at d = 8 for queries at the cloud's own points,
 //! * classification agreeing with the exact oracle outside the ε-band,
+//!   likewise in both regimes,
 //! * batch statistics decomposing exactly: any split of a batch, run
 //!   under any `ExecPolicy`, merges to the whole batch's `QueryStats`,
 //! * quantile estimates matching full sorts.
@@ -35,6 +37,70 @@ fn naive_density(data: &Matrix, kernel: &Kernel, x: &[f64]) -> f64 {
         acc += kernel.eval_pair(x, row);
     }
     acc / data.rows() as f64
+}
+
+/// Strategy: 20 to `max_n` points in `[-3, 3]^8`.
+fn cloud_d8(max_n: usize) -> impl Strategy<Value = Vec<f64>> {
+    proptest::collection::vec(-3.0f64..3.0, 8 * 20..=8 * max_n).prop_map(|mut v| {
+        v.truncate(v.len() / 8 * 8);
+        v
+    })
+}
+
+/// Bounds at threshold `t` sandwich the exact density of `q` under a
+/// Gaussian kernel of bandwidth `h` in every dimension.
+fn check_bounds_sandwich(data: &Matrix, h: f64, q: &[f64], t: f64) {
+    let tree = KdTree::build(data, 4, SplitRule::TrimmedMidpoint).unwrap();
+    let kernel = Kernel::new(KernelKind::Gaussian, vec![h; data.cols()]).unwrap();
+    let bounder = DensityBounder::new(&tree, &kernel, Optimizations::all(), 0.01);
+    let mut scratch = QueryScratch::new();
+    let b = bounder.bound_density(q, t, t, &mut scratch);
+    let exact = naive_density(data, &kernel, q);
+    // Allow small floating drift relative to the kernel scale.
+    let slack = 1e-9 * kernel.max_value();
+    prop_assert!(
+        b.lower <= exact + slack,
+        "lower {} > exact {}",
+        b.lower,
+        exact
+    );
+    prop_assert!(
+        b.upper >= exact - slack,
+        "upper {} < exact {}",
+        b.upper,
+        exact
+    );
+}
+
+/// Classifying `q` against thresholds around its exact density agrees
+/// with the exact oracle outside the ε-band.
+fn check_agrees_with_oracle(data: &Matrix, h: f64, q: &[f64]) {
+    let tree = KdTree::build(data, 4, SplitRule::TrimmedMidpoint).unwrap();
+    let kernel = Kernel::new(KernelKind::Gaussian, vec![h; data.cols()]).unwrap();
+    let eps = 0.01;
+    let bounder = DensityBounder::new(&tree, &kernel, Optimizations::all(), eps);
+    let mut scratch = QueryScratch::new();
+    let exact = naive_density(data, &kernel, q);
+    // The running add/subtract bound accumulation drifts on the order
+    // of f64 epsilon relative to K(0) (the paper's bounds are likewise
+    // "exact up to floating point precision"), so the guarantee only
+    // holds for thresholds above that noise floor.
+    let drift_floor = 1e-9 * kernel.max_value();
+    // Pick a threshold near the exact density to stress the rules,
+    // plus thresholds decisively above and below.
+    for t in [exact * 0.5, exact * 2.0, exact.max(1e-300)] {
+        if t < drift_floor {
+            continue;
+        }
+        let b = bounder.bound_density(q, t, t, &mut scratch);
+        let high = b.midpoint() > t;
+        if exact > t * (1.0 + eps) {
+            prop_assert!(high, "exact {} > t(1+ε) {} but LOW", exact, t);
+        }
+        if exact < t * (1.0 - eps) {
+            prop_assert!(!high, "exact {} < t(1−ε) {} but HIGH", exact, t);
+        }
+    }
 }
 
 proptest! {
@@ -97,19 +163,21 @@ proptest! {
     ) {
         let n = flat.len() / d;
         let data = Matrix::from_vec(flat, n, d).unwrap();
-        let tree = KdTree::build(&data, 4, SplitRule::TrimmedMidpoint).unwrap();
-        let h = vec![1.5; d];
-        let kernel = Kernel::new(KernelKind::Gaussian, h).unwrap();
-        let bounder = DensityBounder::new(&tree, &kernel, Optimizations::all(), 0.01);
-        let mut scratch = QueryScratch::new();
-        let q = &qseed[..d];
-        let t = 10f64.powf(t_exp);
-        let b = bounder.bound_density(q, t, t, &mut scratch);
-        let exact = naive_density(&data, &kernel, q);
-        // Allow small floating drift relative to the kernel scale.
-        let slack = 1e-9 * kernel.max_value();
-        prop_assert!(b.lower <= exact + slack, "lower {} > exact {}", b.lower, exact);
-        prop_assert!(b.upper >= exact - slack, "upper {} < exact {}", b.upper, exact);
+        check_bounds_sandwich(&data, 1.5, &qseed[..d], 10f64.powf(t_exp));
+    }
+
+    /// The same sandwich at d = 8 for queries at the cloud's own points,
+    /// where the traversal's descent to the query's leaf settles most
+    /// answers.
+    #[test]
+    fn bounds_sandwich_exact_density_d8(
+        flat in cloud_d8(60),
+        pick in 0usize..1000,
+        t_exp in -6.0f64..0.0,
+    ) {
+        let n = flat.len() / 8;
+        let data = Matrix::from_vec(flat, n, 8).unwrap();
+        check_bounds_sandwich(&data, 1.5, data.row(pick % n), 10f64.powf(t_exp));
     }
 
     #[test]
@@ -119,33 +187,19 @@ proptest! {
     ) {
         let n = flat.len() / d;
         let data = Matrix::from_vec(flat, n, d).unwrap();
-        let tree = KdTree::build(&data, 4, SplitRule::TrimmedMidpoint).unwrap();
-        let kernel = Kernel::new(KernelKind::Gaussian, vec![2.0; d]).unwrap();
-        let eps = 0.01;
-        let bounder = DensityBounder::new(&tree, &kernel, Optimizations::all(), eps);
-        let mut scratch = QueryScratch::new();
-        let q = &qseed[..d];
-        let exact = naive_density(&data, &kernel, q);
-        // The running add/subtract bound accumulation drifts on the order
-        // of f64 epsilon relative to K(0) (the paper's bounds are likewise
-        // "exact up to floating point precision"), so the guarantee only
-        // holds for thresholds above that noise floor.
-        let drift_floor = 1e-9 * kernel.max_value();
-        // Pick a threshold near the exact density to stress the rules,
-        // plus thresholds decisively above and below.
-        for t in [exact * 0.5, exact * 2.0, exact.max(1e-300)] {
-            if t < drift_floor {
-                continue;
-            }
-            let b = bounder.bound_density(q, t, t, &mut scratch);
-            let high = b.midpoint() > t;
-            if exact > t * (1.0 + eps) {
-                prop_assert!(high, "exact {} > t(1+ε) {} but LOW", exact, t);
-            }
-            if exact < t * (1.0 - eps) {
-                prop_assert!(!high, "exact {} < t(1−ε) {} but HIGH", exact, t);
-            }
-        }
+        check_agrees_with_oracle(&data, 2.0, &qseed[..d]);
+    }
+
+    /// The same oracle agreement at d = 8 for queries at the cloud's own
+    /// points.
+    #[test]
+    fn classification_agrees_with_oracle_outside_band_d8(
+        flat in cloud_d8(60),
+        pick in 0usize..1000,
+    ) {
+        let n = flat.len() / 8;
+        let data = Matrix::from_vec(flat, n, 8).unwrap();
+        check_agrees_with_oracle(&data, 2.0, data.row(pick % n));
     }
 
     /// A weighted density with integer weights is the same measure as the
